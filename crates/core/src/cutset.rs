@@ -1,7 +1,8 @@
 //! The target-master cut-set `g(t)` of Eqs. (8)–(9), in both the
 //! deterministic and the statistical (margined-arrival) formulations.
 
-use retime_netlist::NodeId;
+use retime_liberty::DelayArc;
+use retime_netlist::{CombCloud, ConeWalker, Cut, NodeId};
 use retime_sta::{BackwardPass, DelayModel, SinkClass, TimingAnalysis};
 use retime_stat::{StatBackward, StatTiming};
 
@@ -28,7 +29,7 @@ pub fn cut_set(sta: &TimingAnalysis<'_>, bp: &BackwardPass) -> Vec<NodeId> {
     let pi = sta.clock().period();
     let cloud = sta.cloud();
     let mut out = Vec::new();
-    for v in cloud.fanin_cone(t) {
+    for &v in bp.cone() {
         if v == t {
             continue;
         }
@@ -72,12 +73,26 @@ pub fn classify_and_cut_set(
     sta: &TimingAnalysis<'_>,
     bp: &BackwardPass,
 ) -> (SinkClass, Vec<NodeId>) {
-    let t = bp.sink();
+    classify_in_cone(sta, bp, &mut ConeWalker::new(sta.cloud()), &mut Vec::new())
+}
+
+/// [`classify_and_cut_set`] with caller-owned scratch: `closure` walks
+/// the fan-in closure of `g(t)` and `arrivals` holds the cone-local
+/// propagation, so the work per target is `O(|cone(t)| + edges in it)`.
+fn classify_in_cone(
+    sta: &TimingAnalysis<'_>,
+    bp: &BackwardPass,
+    closure: &mut ConeWalker,
+    arrivals: &mut Vec<DelayArc>,
+) -> (SinkClass, Vec<NodeId>) {
     let pi = sta.clock().period();
     let cloud = sta.cloud();
-    let worst_initial = cloud
-        .sources()
+    // Sources outside the cone have no `a_host`, so the cone's sources
+    // give the circuit-wide maximum.
+    let worst_initial = bp
+        .cone()
         .iter()
+        .filter(|&&s| cloud.node(s).is_source())
         .filter_map(|&s| sta.a_host(s, bp))
         .fold(f64::NEG_INFINITY, f64::max);
     if worst_initial <= pi + EPS {
@@ -88,31 +103,30 @@ pub fn classify_and_cut_set(
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
     // Soundness check for the pseudo-node reward: evaluate the *canonical*
-    // cut that moves exactly the union of g(t)'s fan-in closures (the
-    // minimal movement past the frontier) and verify the arrival at t
-    // actually meets Π under the full timing model. This is exact for the
-    // cut the pseudo node promises, including tap branches whose safe
-    // positions lie beyond the frontier.
-    let mut cut = retime_netlist::Cut::initial(cloud);
-    for &gv in &g {
-        for u in cloud.fanin_cone(gv) {
-            cut.set_moved(u, true);
-        }
-    }
-    if cut.validate(cloud).is_err() {
+    // cut that moves exactly the fan-in closure of g(t) (the minimal
+    // movement past the frontier) and verify the arrival at t actually
+    // meets Π under the full timing model. This is exact for the cut the
+    // pseudo node promises, including tap branches whose safe positions
+    // lie beyond the frontier.
+    if !walk_canonical_closure(cloud, &g, closure) {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    let timing = sta.cut_timing(&cut);
-    let sink_idx = cloud
-        .sinks()
-        .iter()
-        .position(|&x| x == t)
-        .expect("t is a sink");
-    if timing.sink_arrivals[sink_idx] <= pi + EPS {
+    if sta.sink_arrival_with_moved(bp, closure, arrivals) <= pi + EPS {
         (SinkClass::Target, g)
     } else {
         (SinkClass::AlwaysErrorDetecting, Vec::new())
     }
+}
+
+/// Walks the fan-in closure of `g` — the nodes the canonical cut moves
+/// the latches through — and reports whether that cut is valid. A
+/// fan-in closure satisfies [`Cut::validate`]'s edge rule by
+/// construction, so the cut is invalid exactly when it moves a sink.
+fn walk_canonical_closure(cloud: &CombCloud, g: &[NodeId], closure: &mut ConeWalker) -> bool {
+    !closure
+        .walk(cloud, g)
+        .iter()
+        .any(|&v| cloud.node(v).is_sink())
 }
 
 /// Statistical mirror of [`cut_set`]: the same frontier construction with
@@ -161,6 +175,17 @@ pub fn classify_and_cut_set_stat(
     st: &StatTiming<'_>,
     sb: &StatBackward,
 ) -> (SinkClass, Vec<NodeId>) {
+    classify_stat_with(st, sb, &mut ConeWalker::new(st.cloud()))
+}
+
+/// [`classify_and_cut_set_stat`] with a caller-owned closure walker.
+/// Only the closure walk and the validity check are local; the canonical
+/// re-propagation of the cut stays full-circuit.
+fn classify_stat_with(
+    st: &StatTiming<'_>,
+    sb: &StatBackward,
+    closure: &mut ConeWalker,
+) -> (SinkClass, Vec<NodeId>) {
     let t = sb.sink();
     let pi = st.period();
     let cloud = st.cloud();
@@ -172,14 +197,12 @@ pub fn classify_and_cut_set_stat(
     if g.is_empty() {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
     }
-    let mut cut = retime_netlist::Cut::initial(cloud);
-    for &gv in &g {
-        for u in cloud.fanin_cone(gv) {
-            cut.set_moved(u, true);
-        }
-    }
-    if cut.validate(cloud).is_err() {
+    if !walk_canonical_closure(cloud, &g, closure) {
         return (SinkClass::AlwaysErrorDetecting, Vec::new());
+    }
+    let mut cut = Cut::initial(cloud);
+    for &u in closure.nodes() {
+        cut.set_moved(u, true);
     }
     let canons = st.cut_sink_canons(&cut);
     let sink_idx = cloud
@@ -195,20 +218,22 @@ pub fn classify_and_cut_set_stat(
 }
 
 /// Batch form of [`classify_and_cut_set`]: classifies every target sink,
-/// fanning the per-target backward pass *and* the cut-set construction —
-/// the dominant cost of a G-RAR run — out across `threads` workers (`0` =
-/// auto, honoring `RETIME_THREADS`). Each worker runs one fused
-/// backward-pass + classification per target, so peak memory stays at one
-/// [`BackwardPass`] per worker rather than one per target.
+/// fanning the per-target backward pass and the cut-set construction out
+/// across `threads` workers (`0` = auto, honoring `RETIME_THREADS`).
+/// Each worker owns one scratch — a [`BackwardPass`] it re-runs per
+/// target, a closure walker, and an arrival buffer — so a target costs
+/// `O(|cone(t)| + edges in it)` and nothing of size `O(n)` is allocated
+/// or swept per target.
 ///
 /// Results are index-aligned with `targets`; parallel and sequential runs
 /// produce bit-identical classes and cut-sets (asserted by the
-/// `parallel_classify_matches_sequential` property test).
+/// `parallel_classify_matches_sequential` property test), and both equal
+/// the full-circuit reference classifier in `retime-verify`.
 ///
 /// Under [`DelayModel::Statistical`] the statistical mirrors run
 /// instead: one shared [`StatTiming`] (the canonical pure arrivals are
 /// common to every target) and one fused canonical backward pass +
-/// margined classification per worker.
+/// margined classification per target.
 ///
 /// # Panics
 /// Panics if any target is not a sink.
@@ -217,17 +242,34 @@ pub fn classify_many(
     targets: &[NodeId],
     threads: usize,
 ) -> Vec<(SinkClass, Vec<NodeId>)> {
+    let cloud = sta.cloud();
     if matches!(sta.delays().model(), DelayModel::Statistical(_)) {
-        let st = StatTiming::new(sta.cloud(), sta.delays(), *sta.clock());
-        return retime_engine::parallel_map(threads, targets, |&t| {
-            let sb = st.backward(t);
-            classify_and_cut_set_stat(&st, &sb)
-        });
+        let st = StatTiming::new(cloud, sta.delays(), *sta.clock());
+        return retime_engine::parallel_map_with(
+            threads,
+            targets,
+            || ConeWalker::new(cloud),
+            |closure, &t| {
+                let sb = st.backward(t);
+                classify_stat_with(&st, &sb, closure)
+            },
+        );
     }
-    retime_engine::parallel_map(threads, targets, |&t| {
-        let bp = sta.backward(t);
-        classify_and_cut_set(sta, &bp)
-    })
+    retime_engine::parallel_map_with(
+        threads,
+        targets,
+        || (None::<BackwardPass>, ConeWalker::new(cloud), Vec::new()),
+        |(bp, closure, arrivals), &t| {
+            let bp = match bp {
+                Some(bp) => {
+                    bp.rerun(cloud, sta.delays(), t);
+                    bp
+                }
+                None => bp.insert(sta.backward(t)),
+            };
+            classify_in_cone(sta, bp, closure, arrivals)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! `Sta → Classify → Solve → Commit` pipeline on the shared
 //! [`retime_engine`] flow-engine layer. The classification stage — the
 //! per-target backward passes and cut-set construction the paper's
-//! profiling singles out as the dominant cost — fans out across worker
-//! threads ([`classify_many`](crate::cutset::classify_many)).
+//! §VI-D profiling names as its bottleneck — works cone-locally, each
+//! target costing `O(|cone(t)|)`, and fans out across worker threads
+//! ([`classify_many`](crate::cutset::classify_many)).
 
 use std::time::Instant;
 
@@ -77,8 +78,10 @@ pub struct GrarReport {
     /// Targets predicted non-error-detecting by the flow solution.
     pub predicted_saved: usize,
     /// Uniform per-stage instrumentation (`Stage::Classify` carries the
-    /// backward/cut-set fan-out the paper's Table VII discussion singles
-    /// out; the solve stage stays under 2 %).
+    /// backward/cut-set fan-out, `Stage::Solve` the network-flow solve;
+    /// on the full single-thread `table4` run the solve takes about
+    /// 93 % of the time and classification about 4 %, EXPERIMENTS.md
+    /// Table VII).
     pub phases: PhaseTimings,
 }
 

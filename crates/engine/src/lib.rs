@@ -39,5 +39,5 @@
 pub mod parallel;
 pub mod pipeline;
 
-pub use parallel::{parallel_map, parse_thread_override, thread_count};
+pub use parallel::{parallel_map, parallel_map_with, parse_thread_override, thread_count};
 pub use pipeline::{FlowContext, Instrument, PhaseTimings, Pipeline, Stage};

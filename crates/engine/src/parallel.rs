@@ -1,13 +1,13 @@
 //! Scoped-thread fan-out with deterministic, index-ordered results.
 //!
-//! The paper's profiling (Section VI-B / Table VII discussion) shows the
-//! per-target backward-delay computation dominates G-RAR's runtime while
-//! the network-flow solve is under 2 %. Those backward passes are
-//! independent per endpoint — `TimingAnalysis::backward` takes `&self` —
-//! so they fan out across threads without any locking. The primitives
-//! here are built on `std::thread::scope` (no external dependencies) and
-//! always return results in input order, so parallel and sequential runs
-//! are bit-identical.
+//! The per-endpoint work of a flow — one backward pass and one cut-set
+//! classification per target master — is independent per endpoint
+//! (`TimingAnalysis::backward` takes `&self`), so it fans out across
+//! threads without any locking; [`parallel_map_with`] additionally gives
+//! each worker one reusable scratch (cone walker, backward-pass buffers).
+//! The primitives here are built on `std::thread::scope` (no external
+//! dependencies) and always return results in input order, so parallel
+//! and sequential runs are bit-identical.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -65,13 +65,34 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    parallel_map_with(threads, items, || (), |(), item| f(item))
+}
+
+/// [`parallel_map`] with per-worker scratch state: each worker builds one
+/// `S` with `init` and hands it to `f` for every item it takes, so
+/// buffers sized to the circuit are allocated once per worker instead of
+/// once per item. `f` must not let the scratch's history leak into its
+/// result — results stay index-ordered and bit-identical across thread
+/// counts only if each item's result depends on the item alone.
+///
+/// # Panics
+/// Propagates a panic from `init` or `f` after the scope unwinds its
+/// workers.
+pub fn parallel_map_with<T, S, U, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
     let workers = match threads {
         0 => thread_count(),
         n => n,
     }
     .min(items.len().max(1));
     if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
+        let mut scratch = init();
+        return items.iter().map(|item| f(&mut scratch, item)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -79,13 +100,14 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut scratch = init();
                     let mut out: Vec<(usize, U)> = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        out.push((i, f(&items[i])));
+                        out.push((i, f(&mut scratch, &items[i])));
                     }
                     out
                 })
@@ -150,6 +172,34 @@ mod tests {
         });
         for (i, &(x, _)) in out.iter().enumerate() {
             assert_eq!(i as u64, x);
+        }
+    }
+
+    #[test]
+    fn scratch_is_built_once_per_worker() {
+        use std::sync::atomic::AtomicUsize;
+        let items: Vec<u64> = (0..200).collect();
+        for threads in [1, 3] {
+            let inits = AtomicUsize::new(0);
+            let out = parallel_map_with(
+                threads,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0u64
+                },
+                |taken, &x| {
+                    // The scratch persists across a worker's items.
+                    *taken += 1;
+                    (x * 2, *taken)
+                },
+            );
+            let doubled: Vec<u64> = out.iter().map(|&(y, _)| y).collect();
+            assert_eq!(doubled, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+            let workers = inits.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&workers));
+            // Each worker's counter ends at the number of items it took.
+            assert!(out.iter().map(|&(_, n)| n).max().unwrap() >= items.len() as u64 / 3);
         }
     }
 

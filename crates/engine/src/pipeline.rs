@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 ///
 /// Every flow uses a subset, in this order: the base flow runs
 /// `Sta → Solve → Commit`, G-RAR inserts `Classify` (the per-target
-/// backward passes and cut-set construction that dominate its runtime),
+/// backward passes and cut-set construction, each confined to the
+/// target's fan-in cone),
 /// and the virtual-library flow adds its typing/freezing `Seed` pass and
 /// the post-retiming `Swap` step. When `RETIME_VERIFY=1`, every flow
 /// appends the independent certificate-checker `Verify` stage. Circuits

@@ -108,6 +108,8 @@ pub struct CombCloud {
     sources: Vec<NodeId>,
     sinks: Vec<NodeId>,
     topo: Vec<NodeId>,
+    /// Each node's index in `topo`.
+    topo_pos: Vec<u32>,
     /// For each netlist cell: the cloud node producing its value, if any.
     producer_of_cell: Vec<Option<NodeId>>,
     /// For each netlist cell: the sink node capturing its D pin (masters,
@@ -283,10 +285,15 @@ impl CombCloud {
             sources,
             sinks,
             topo: Vec::new(),
+            topo_pos: Vec::new(),
             producer_of_cell,
             sink_of_cell,
         };
         cloud.topo = cloud.compute_topo()?;
+        cloud.topo_pos = vec![0; cloud.nodes.len()];
+        for (i, &v) in cloud.topo.iter().enumerate() {
+            cloud.topo_pos[v.index()] = i as u32;
+        }
         Ok(cloud)
     }
 
@@ -380,6 +387,12 @@ impl CombCloud {
         &self.topo
     }
 
+    /// The position of `v` in [`CombCloud::topo`]: every edge `u → v`
+    /// has `topo_pos(u) < topo_pos(v)`.
+    pub fn topo_pos(&self, v: NodeId) -> usize {
+        self.topo_pos[v.index()] as usize
+    }
+
     /// Iterates over all directed edges.
     pub fn edges(&self) -> impl Iterator<Item = CloudEdge> + '_ {
         self.nodes.iter().enumerate().flat_map(|(i, nd)| {
@@ -404,7 +417,8 @@ impl CombCloud {
     }
 
     /// Nodes in the fan-in cone of `t` (inclusive of `t`), found by reverse
-    /// BFS. Used for the paper's `FIC(t)` computations.
+    /// DFS into a fresh `O(n)` mark vector. For repeated per-endpoint
+    /// walks use a reusable [`crate::ConeWalker`] instead.
     pub fn fanin_cone(&self, t: NodeId) -> Vec<NodeId> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![t];

@@ -36,12 +36,14 @@ pub mod bench;
 pub mod blif;
 pub mod cell;
 pub mod cloud;
+pub mod cone;
 pub mod cut;
 pub mod error;
 pub mod netlist;
 
 pub use cell::{Cell, CellId, Gate};
 pub use cloud::{CloudEdge, CloudNode, CombCloud, NodeId, NodeKind};
+pub use cone::ConeWalker;
 pub use cut::Cut;
 pub use error::NetlistError;
 pub use netlist::{Netlist, NetlistStats};

@@ -6,8 +6,8 @@
 //! batch flows wrapped in a daemon. A `retime-serve` process listens on
 //! TCP, speaks newline-delimited JSON, and runs submissions through the
 //! exact flow entry points (`base_retime` / `grar` / `vl_retime`) the
-//! tables use, on a worker pool built from
-//! [`retime_engine::parallel_map`].
+//! tables use, on a worker pool sized by
+//! [`retime_engine::thread_count`].
 //!
 //! Four properties carry the design:
 //!

@@ -23,9 +23,11 @@
 //! * `shutdown` — drain-then-exit: no new work is accepted, queued jobs
 //!   finish, workers, reactors, and the acceptor join.
 //!
-//! The pool is literally built on [`retime_engine::parallel_map`] — one
-//! supervisor thread fans `worker_loop` out over `workers` slots, so the
-//! pool size honors `RETIME_THREADS` exactly like every flow does.
+//! The pool is one thread running `worker_loop` itself plus
+//! `workers - 1` scoped threads beside it; its size honors
+//! `RETIME_THREADS` through [`retime_engine::thread_count`] exactly like
+//! every flow does. Every server thread carries a `srv<port>-<role>`
+//! name ([`ServerHandle::thread_prefix`]).
 //! Results land in the tiered [`ResultCache`]; with `--cache-dir` they
 //! also persist across restarts (see [`crate::disk`]).
 
@@ -35,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use retime_engine::{parallel_map, thread_count};
+use retime_engine::thread_count;
 use retime_liberty::Library;
 
 use crate::cache::{CacheConfig, CachedResult, ResultCache};
@@ -210,10 +212,18 @@ impl Server {
 
         let pool = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let slots: Vec<usize> = (0..shared.workers).collect();
-                parallel_map(shared.workers, &slots, |_| worker_loop(&shared));
-            })
+            named_thread(addr, "pool").spawn(move || {
+                // The pool thread is worker 0 itself; the rest run on
+                // scoped threads beside it.
+                std::thread::scope(|scope| {
+                    for i in 1..shared.workers {
+                        named_thread(shared.addr, &format!("w{i}"))
+                            .spawn_scoped(scope, || worker_loop(&shared))
+                            .expect("spawn worker thread");
+                    }
+                    worker_loop(&shared);
+                });
+            })?
         };
 
         let mut posts = Vec::with_capacity(n_reactors);
@@ -223,7 +233,9 @@ impl Server {
             posts.push(post);
             let shared = Arc::clone(&shared);
             let limits = config.limits;
-            reactor_threads.push(std::thread::spawn(move || core.run(&shared, limits)));
+            reactor_threads.push(
+                named_thread(addr, &format!("r{idx}")).spawn(move || core.run(&shared, limits))?,
+            );
         }
         shared
             .reactors
@@ -232,7 +244,7 @@ impl Server {
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
+            named_thread(addr, "accept").spawn(move || {
                 let mut next_conn: u64 = 0;
                 for stream in listener.incoming() {
                     if shared.shutting_down.load(Ordering::SeqCst) {
@@ -245,7 +257,7 @@ impl Server {
                     let reactor = (conn as usize) % posts.len();
                     posts[reactor].inject(ReactorMsg::Accept { conn, stream });
                 }
-            })
+            })?
         };
 
         Ok(ServerHandle {
@@ -273,6 +285,15 @@ impl ServerHandle {
         self.addr
     }
 
+    /// The name prefix of every thread this server runs: the acceptor is
+    /// `<prefix>-accept`, reactor `i` is `<prefix>-r<i>`, worker 0 (the
+    /// pool thread) `<prefix>-pool`, and worker `i ≥ 1` `<prefix>-w<i>`.
+    /// The prefix is `srv<port>`, unique among the live servers of a
+    /// process.
+    pub fn thread_prefix(&self) -> String {
+        thread_tag(self.addr)
+    }
+
     /// Blocks until the server has drained and every thread joined —
     /// returns after a client sends `shutdown`. Order matters: the pool
     /// drains first (its final `JobDone` replies still need reactors),
@@ -297,6 +318,19 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         begin_shutdown(&self.shared);
     }
+}
+
+/// The `srv<port>` thread-name prefix of the server bound at `addr`.
+/// Every server thread is named `srv<port>-<role>` (at most 15 bytes, the
+/// kernel's `comm` limit), so a process hosting several servers — a test
+/// binary, say — can tell their threads apart in `/proc/self/task/*/comm`.
+fn thread_tag(addr: SocketAddr) -> String {
+    format!("srv{}", addr.port())
+}
+
+/// A builder for the server thread with the given role.
+fn named_thread(addr: SocketAddr, role: &str) -> std::thread::Builder {
+    std::thread::Builder::new().name(format!("{}-{role}", thread_tag(addr)))
 }
 
 /// Flips the service into drain mode and pokes the acceptor awake.

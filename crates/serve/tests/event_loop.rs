@@ -229,30 +229,38 @@ fn half_open_disconnect_mid_job_cleans_the_waiter() {
 
 #[test]
 fn connection_churn_grows_no_threads() {
-    fn thread_count() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .expect("Threads: line")
-            .trim()
-            .parse()
-            .expect("thread count")
+    /// Threads of this process named with `prefix` — the server's own
+    /// threads only, so sibling tests' servers and clients do not count.
+    fn server_threads(prefix: &str) -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| {
+                comm.trim_end()
+                    .strip_prefix(prefix)
+                    .is_some_and(|rest| rest.starts_with('-'))
+            })
+            .count()
     }
 
     let (handle, addr) = spawn(ServerConfig::default());
+    let prefix = handle.thread_prefix();
     // Warm once so lazily-spawned machinery (pool, reactors) exists.
     Client::connect(&addr)
         .expect("warm connect")
         .metrics_text()
         .expect("warm metrics");
-    let before = thread_count();
+    let before = server_threads(&prefix);
+    assert!(
+        before >= 4,
+        "acceptor, pool, reactors and workers are all named `{prefix}-…`; found {before}"
+    );
 
     for _ in 0..40 {
         let mut client = Client::connect(&addr).expect("churn connect");
         client.metrics_text().expect("churn metrics");
     }
-    let after = thread_count();
+    let after = server_threads(&prefix);
     assert_eq!(
         after, before,
         "40 connections must reuse the fixed reactor threads"

@@ -2,11 +2,11 @@
 //! arrival model, sink classification, and cut timing.
 
 use retime_liberty::{DelayArc, Library};
-use retime_netlist::{CombCloud, Cut, NodeId};
+use retime_netlist::{CombCloud, ConeWalker, Cut, NodeId};
 
 use crate::backward::{db_to_any_sink, BackwardPass};
 use crate::clock::TwoPhaseClock;
-use crate::forward::{arrivals_with_cut, pure_arrivals, relaunch};
+use crate::forward::{arrivals_with_cut, propagate_with_moved, pure_arrivals, relaunch};
 use crate::model::{DelayModel, NodeDelays, StaError};
 
 /// Classification of a sink (potential master latch) with respect to the
@@ -202,10 +202,10 @@ impl<'a> TimingAnalysis<'a> {
         // Π, the master can never be forced error-detecting by a valid cut
         // (moving latches forward only lowers the arrival until the pure
         // path dominates, which the first test already bounded by Π).
-        let worst_initial = self
-            .cloud
-            .sources()
+        let worst_initial = bp
+            .cone()
             .iter()
+            .filter(|&&s| self.cloud.node(s).is_source())
             .filter_map(|&s| self.a_host(s, bp))
             .fold(f64::NEG_INFINITY, f64::max);
         if worst_initial <= pi + EPS {
@@ -213,6 +213,33 @@ impl<'a> TimingAnalysis<'a> {
         } else {
             SinkClass::Target
         }
+    }
+
+    /// Worst arrival at the sink of `bp` under the cut that moves the
+    /// latches through exactly the nodes of `moved`'s last walk (for
+    /// G-RAR, the fan-in closure of `g(t)`): the sink's entry of
+    /// [`TimingAnalysis::cut_timing`] for that cut, bit for bit, but
+    /// propagated over `cone(t)` only with the same per-node step.
+    /// `arrivals` is scratch space, grown to the cloud size on first use
+    /// and reusable across calls.
+    pub fn sink_arrival_with_moved(
+        &self,
+        bp: &BackwardPass,
+        moved: &ConeWalker,
+        arrivals: &mut Vec<DelayArc>,
+    ) -> f64 {
+        if arrivals.len() < self.cloud.len() {
+            arrivals.resize(self.cloud.len(), DelayArc::default());
+        }
+        propagate_with_moved(
+            self.cloud,
+            &self.delays,
+            &self.clock,
+            bp.cone(),
+            arrivals,
+            |v| moved.contains(v),
+        );
+        arrivals[bp.sink().index()].max()
     }
 
     /// Near-critical endpoints: sinks whose pure combinational arrival
@@ -379,6 +406,37 @@ z = NAND(g4, a)
         // Initial latches at sources always meet constraint (6): the data
         // arrives at launch time.
         assert!(ct.setup_violations.is_empty());
+    }
+
+    #[test]
+    fn cone_arrival_matches_full_cut_timing() {
+        // Every closure of one or two nodes of each sink's cone: the
+        // cone-local arrival equals the full propagation bit for bit.
+        let (n, clock) = setup(0.3);
+        let cloud = CombCloud::extract(&n).unwrap();
+        let lib = Library::fdsoi28();
+        let sta = TimingAnalysis::new(&cloud, &lib, clock, DelayModel::PathBased).unwrap();
+        let mut moved = ConeWalker::new(&cloud);
+        let mut arrivals = Vec::new();
+        for (idx, &t) in cloud.sinks().iter().enumerate() {
+            let bp = sta.backward(t);
+            let inner: Vec<NodeId> = bp.cone().iter().copied().filter(|&v| v != t).collect();
+            let mut root_sets: Vec<Vec<NodeId>> = vec![Vec::new()];
+            for (i, &a) in inner.iter().enumerate() {
+                root_sets.push(vec![a]);
+                root_sets.extend(inner[i + 1..].iter().map(|&b| vec![a, b]));
+            }
+            for roots in root_sets {
+                moved.walk(&cloud, &roots);
+                let mut cut = Cut::initial(&cloud);
+                for &v in moved.nodes() {
+                    cut.set_moved(v, true);
+                }
+                let full = sta.cut_timing(&cut).sink_arrivals[idx];
+                let local = sta.sink_arrival_with_moved(&bp, &moved, &mut arrivals);
+                assert_eq!(local.to_bits(), full.to_bits(), "roots {roots:?}");
+            }
+        }
     }
 
     #[test]

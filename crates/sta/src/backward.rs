@@ -1,7 +1,7 @@
 //! Per-endpoint backward delay analysis: the paper's `D^b(v, t)`.
 
 use retime_liberty::{DelayArc, Sense};
-use retime_netlist::{CombCloud, NodeId};
+use retime_netlist::{CombCloud, ConeWalker, NodeId};
 
 use crate::forward::arc_max;
 use crate::model::NodeDelays;
@@ -17,9 +17,16 @@ use crate::model::NodeDelays;
 /// * `through(v)` — worst delay from a transition at the **inputs** of `v`
 ///   through `v` to `t` (the `d(v) + D^b(v, t)` term of Eq. 5 with valid
 ///   rise/fall pairing), per input polarity at `v`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The pass touches only `cone(t)`: a [`ConeWalker`] finds the cone and
+/// the sweep runs over it in reverse topological order. A pass is also
+/// its own scratch — [`BackwardPass::rerun`] moves it to another sink,
+/// clearing only the previous cone — so per-endpoint loops pay
+/// `O(|cone(t)| + edges in it)` per sink and allocate once.
+#[derive(Debug, Clone)]
 pub struct BackwardPass {
     sink: NodeId,
+    cone: ConeWalker,
     from_output: Vec<Option<DelayArc>>,
     through: Vec<Option<DelayArc>>,
 }
@@ -30,50 +37,63 @@ impl BackwardPass {
     /// # Panics
     /// Panics if `t` is not a sink of the cloud.
     pub fn run(cloud: &CombCloud, delays: &NodeDelays, t: NodeId) -> BackwardPass {
-        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
         let n = cloud.len();
-        let mut from_output: Vec<Option<DelayArc>> = vec![None; n];
-        let mut through: Vec<Option<DelayArc>> = vec![None; n];
+        let mut bp = BackwardPass {
+            sink: t,
+            cone: ConeWalker::new(cloud),
+            from_output: vec![None; n],
+            through: vec![None; n],
+        };
+        bp.rerun(cloud, delays, t);
+        bp
+    }
+
+    /// Re-runs this pass from sink `t` of the same cloud, reusing its
+    /// buffers: the previous cone's entries are cleared and only
+    /// `cone(t)` is swept. The result equals [`BackwardPass::run`]`(t)`.
+    ///
+    /// # Panics
+    /// Panics if `t` is not a sink of the cloud.
+    pub fn rerun(&mut self, cloud: &CombCloud, delays: &NodeDelays, t: NodeId) {
+        assert!(cloud.node(t).is_sink(), "{t} is not a sink");
+        for &v in self.cone.nodes() {
+            self.from_output[v.index()] = None;
+            self.through[v.index()] = None;
+        }
+        self.sink = t;
+        self.cone.walk(cloud, &[t]);
         // The sink itself: a latch placed directly on the edge into t has
         // no further gate delay.
-        through[t.index()] = Some(DelayArc::default());
-
-        // Membership in the cone (computed cheaply during the reverse
-        // topological sweep: a node is in the cone if any fanout is).
-        let mut in_cone = vec![false; n];
-        in_cone[t.index()] = true;
-
-        for &v in cloud.topo().iter().rev() {
+        self.through[t.index()] = Some(DelayArc::default());
+        for &v in self.cone.nodes().iter().rev() {
             if v == t {
                 continue;
             }
             let node = cloud.node(v);
+            // Only cone nodes carry a `through` value, so fanouts outside
+            // the cone drop out of the max.
             let mut best: Option<DelayArc> = None;
             for &w in &node.fanout {
-                if !in_cone[w.index()] {
-                    continue;
-                }
-                if let Some(thr) = through[w.index()] {
+                if let Some(thr) = self.through[w.index()] {
                     best = Some(match best {
                         None => thr,
                         Some(acc) => arc_max(acc, thr),
                     });
                 }
             }
-            if let Some(fo) = best {
-                in_cone[v.index()] = true;
-                from_output[v.index()] = Some(fo);
-                if node.is_gate() {
-                    through[v.index()] =
-                        Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
-                }
+            let fo = best.expect("a cone node reaches the sink through a fanout");
+            self.from_output[v.index()] = Some(fo);
+            if node.is_gate() {
+                self.through[v.index()] =
+                    Some(backward_through_gate(fo, delays.arc(v), delays.sense(v)));
             }
         }
-        BackwardPass {
-            sink: t,
-            from_output,
-            through,
-        }
+    }
+
+    /// The fan-in cone of the sink, `t` included (last), in topological
+    /// order.
+    pub fn cone(&self) -> &[NodeId] {
+        self.cone.nodes()
     }
 
     /// The sink this pass was run from.
@@ -275,6 +295,34 @@ z = BUFF(a)
             match best {
                 Some(arc) => assert!((arc.max() - expect).abs() < 1e-9),
                 None => assert_eq!(expect, f64::NEG_INFINITY),
+            }
+        }
+    }
+
+    #[test]
+    fn rerun_matches_fresh_pass_on_every_sink() {
+        let (cloud, delays) = setup();
+        let mut reused = BackwardPass::run(&cloud, &delays, cloud.sinks()[0]);
+        // Visit the sinks twice in both directions so every pass follows
+        // a pass from another (partly overlapping) cone.
+        let order: Vec<NodeId> = cloud
+            .sinks()
+            .iter()
+            .chain(cloud.sinks().iter().rev())
+            .copied()
+            .collect();
+        for t in order {
+            reused.rerun(&cloud, &delays, t);
+            let fresh = BackwardPass::run(&cloud, &delays, t);
+            assert_eq!(reused.sink(), t);
+            assert_eq!(reused.cone(), fresh.cone());
+            assert_eq!(*reused.cone().last().unwrap(), t);
+            for i in 0..cloud.len() {
+                let v = NodeId(i as u32);
+                assert_eq!(reused.from_output(v), fresh.from_output(v));
+                assert_eq!(reused.through(v), fresh.through(v));
+                assert_eq!(reused.in_cone(v), fresh.in_cone(v));
+                assert_eq!(fresh.in_cone(v), fresh.cone().contains(&v));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Forward arrival-time propagation.
 
 use retime_liberty::{DelayArc, Sense};
-use retime_netlist::{CloudEdge, CombCloud, Cut};
+use retime_netlist::{CloudEdge, CombCloud, Cut, NodeId};
 
 use crate::clock::TwoPhaseClock;
 use crate::model::NodeDelays;
@@ -59,10 +59,9 @@ pub fn relaunch(input: DelayArc, clock: &TwoPhaseClock, delays: &NodeDelays) -> 
 /// ("the latest arrival time of any fanout of u").
 pub(crate) fn pure_arrivals(cloud: &CombCloud, delays: &NodeDelays) -> Vec<DelayArc> {
     let mut arr = vec![DelayArc::default(); cloud.len()];
-    for &s in cloud.sources() {
-        arr[s.index()] = DelayArc::symmetric(delays.launch());
-    }
-    propagate(cloud, delays, &mut arr, |_e, a| a)
+    let launch = DelayArc::symmetric(delays.launch());
+    propagate(cloud, delays, cloud.topo(), &mut arr, |_| launch, |_e, a| a);
+    arr
 }
 
 /// Computes arrivals with slave latches at the positions of `cut`:
@@ -74,36 +73,69 @@ pub(crate) fn arrivals_with_cut(
     cut: &Cut,
 ) -> Vec<DelayArc> {
     let mut arr = vec![DelayArc::default(); cloud.len()];
-    for &s in cloud.sources() {
-        let launch = DelayArc::symmetric(delays.launch());
-        arr[s.index()] = if cut.is_moved(s) {
-            launch
-        } else {
-            // Slave at the source position: everything downstream sees the
-            // re-launched value.
-            relaunch(launch, clock, delays)
-        };
-    }
-    propagate(cloud, delays, &mut arr, |e, a| {
-        if cut.edge_latched(e) {
-            relaunch(a, clock, delays)
-        } else {
-            a
-        }
-    })
+    propagate_with_moved(cloud, delays, clock, cloud.topo(), &mut arr, |v| {
+        cut.is_moved(v)
+    });
+    arr
 }
 
-/// Shared propagation core. `edge_fn` transforms the value crossing each
-/// edge (identity for pure arrivals, [`relaunch`] on latched edges).
+/// The with-cut propagation of [`arrivals_with_cut`] over the nodes of
+/// `order` only, for the cut whose moved set is `moved`. `order` must be
+/// topologically sorted and fanin-closed (a fan-in cone, say); then every
+/// `arr` entry it covers equals the full-circuit value bit for bit, and
+/// no other entry is read or written.
+pub(crate) fn propagate_with_moved(
+    cloud: &CombCloud,
+    delays: &NodeDelays,
+    clock: &TwoPhaseClock,
+    order: &[NodeId],
+    arr: &mut [DelayArc],
+    moved: impl Fn(NodeId) -> bool,
+) {
+    let launch = DelayArc::symmetric(delays.launch());
+    propagate(
+        cloud,
+        delays,
+        order,
+        arr,
+        |s| {
+            if moved(s) {
+                launch
+            } else {
+                // Slave at the source position: everything downstream
+                // sees the re-launched value.
+                relaunch(launch, clock, delays)
+            }
+        },
+        // `Cut::edge_latched`: the latch has moved through the tail but
+        // not the head.
+        |e, a| {
+            if moved(e.from) && !moved(e.to) {
+                relaunch(a, clock, delays)
+            } else {
+                a
+            }
+        },
+    );
+}
+
+/// Shared propagation core over the nodes of `order` (topologically
+/// sorted): a source takes `source_fn`, every other node folds its
+/// fanins' arrivals — each transformed by `edge_fn` (identity for pure
+/// arrivals, [`relaunch`] on latched edges) — and passes them through its
+/// gate.
 fn propagate(
     cloud: &CombCloud,
     delays: &NodeDelays,
-    arr: &mut Vec<DelayArc>,
+    order: &[NodeId],
+    arr: &mut [DelayArc],
+    source_fn: impl Fn(NodeId) -> DelayArc,
     edge_fn: impl Fn(CloudEdge, DelayArc) -> DelayArc,
-) -> Vec<DelayArc> {
-    for &v in cloud.topo() {
+) {
+    for &v in order {
         let node = cloud.node(v);
         if node.is_source() {
+            arr[v.index()] = source_fn(v);
             continue;
         }
         let mut input: Option<DelayArc> = None;
@@ -122,7 +154,6 @@ fn propagate(
             input
         };
     }
-    std::mem::take(arr)
 }
 
 #[cfg(test)]

@@ -359,6 +359,34 @@ mod tests {
     }
 
     #[test]
+    fn strings_round_trip_multibyte_and_escapes() {
+        let cases = [
+            "plain",
+            "",
+            "ünïcödé — ∑ 𝄞 日本語",
+            "quote \" backslash \\ slash / tab \t newline \n cr \r",
+            "\u{0008}\u{000C}\u{0001}\u{001F}",
+            "mixed 𝄞\"\\\nend",
+        ];
+        for text in cases {
+            let rendered = Json::Str(text.to_string()).render();
+            assert_eq!(parse(&rendered).unwrap().as_str(), Some(text), "{rendered}");
+        }
+        // Escapes written by other encoders, including \u and \/.
+        let v = parse(r#""a\u00e9\u2211\/b\"c""#).unwrap();
+        assert_eq!(v.as_str(), Some("aé∑/b\"c"));
+        for bad in [
+            r#""\q""#,
+            r#""\u12""#,
+            r#""\u12zz""#,
+            "\"open",
+            "\"ends in \\",
+        ] {
+            assert!(parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(3.0).render(), "3");
         assert_eq!(Json::Num(1.25).render(), "1.25");

@@ -18,7 +18,7 @@
 //! base region bounds the checker rebuilds — ILP feasibility is checked
 //! for all three flows, optimality for G-RAR only.
 
-use retime_core::{classify_many, IlpFormulation};
+use retime_core::IlpFormulation;
 use retime_engine::{FlowContext, PhaseTimings, Pipeline, Stage};
 use retime_liberty::{EdlOverhead, Library};
 use retime_netlist::{CombCloud, Netlist, NodeId, NodeKind};
@@ -30,6 +30,7 @@ use retime_sim::equivalent;
 use retime_sta::{CutTiming, DelayModel, SinkClass, TimingAnalysis, TwoPhaseClock};
 
 use crate::error::VerifyError;
+use crate::reference::reference_classify_many;
 
 /// Which flow produced the certificate under check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,7 +161,7 @@ pub fn verify_certificate(
                 .map(|(i, &t)| (i, t))
                 .collect();
             let sinks: Vec<NodeId> = targets.iter().map(|&(_, t)| t).collect();
-            let classified = classify_many(&sta, &sinks, opts.threads);
+            let classified = reference_classify_many(&sta, &sinks, opts.threads);
             let c_scaled = (setup.overhead.value() * BREADTH_SCALE as f64).round() as i64;
             for (&(sink_idx, _), (class, g)) in targets.iter().zip(classified) {
                 match class {

@@ -9,9 +9,10 @@
 //! flows as possible:
 //!
 //! * [`verify_certificate`] — the end-to-end checker: rebuilds regions,
-//!   cut-sets, and the Eq. (10) ILP from a fresh STA pass, recomputes
-//!   timing and EDL typing from the final delays, recounts the area
-//!   against the library, re-solves G-RAR's flow problem with the
+//!   cut-sets (with a private full-circuit reference classifier, not the
+//!   flows' cone-local one), and the Eq. (10) ILP from a fresh STA pass,
+//!   recomputes timing and EDL typing from the final delays, recounts the
+//!   area against the library, re-solves G-RAR's flow problem with the
 //!   deliberately-slow reference engine
 //!   ([`MinCostFlow::solve_reference`]), and simulates the retimed
 //!   netlist against the original under random stimulus.
@@ -51,6 +52,7 @@ pub mod certificate;
 pub mod error;
 pub mod flowcheck;
 pub mod mc;
+mod reference;
 
 pub use certificate::{
     verify_certificate, verify_retiming_solution, FlowKind, VerifyOptions, VerifyReport,
